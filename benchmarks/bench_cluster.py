@@ -36,14 +36,16 @@ Tunable from the environment so the CI smoke job can run it small:
 import os
 import threading
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
 
 from conftest import save_json, save_result
 from repro import obs
-from repro.cluster import ClusterSupervisor, run_cluster_chaos, traced_factory
+from repro.cluster import ClusterSupervisor, traced_factory
 from repro.core import fetch_quest_game
+from repro.faultline.audit import run_chaos
 from repro.reporting import format_table
 from repro.serve import session_factory_for_script
 from repro.students import cohort_scripts
@@ -98,9 +100,9 @@ def cluster_runs():
     obs.enable()  # quorum wait histogram / placement counters feed SLOs
     local = _submit_latencies(0)
     quorum = _submit_latencies(QUORUM)
-    chaos = run_cluster_chaos(
-        seed=SEED, sessions=SESSIONS, n_shards=SHARDS,
-        n_standbys=STANDBYS, quorum=QUORUM,
+    chaos = run_chaos(
+        "repl-quorum-partition", seed=SEED, sessions=SESSIONS,
+        n_shards=SHARDS, n_standbys=STANDBYS, quorum=QUORUM,
     )
     return local, quorum, chaos
 
@@ -178,7 +180,7 @@ def test_cluster_emits_machine_readable_result(cluster_runs, results_dir):
             "bound": OVERHEAD_BOUND,
             "samples_per_mode": SESSIONS,
         },
-        "chaos": chaos.to_dict(),
+        "chaos": asdict(chaos),
     }
     path = save_json("BENCH_cluster.json", payload)
     assert path.is_file()

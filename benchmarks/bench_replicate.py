@@ -32,6 +32,7 @@ import os
 import shutil
 import tempfile
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -39,8 +40,9 @@ import pytest
 from conftest import save_json, save_result
 from repro import obs
 from repro.core import fetch_quest_game
+from repro.faultline.audit import run_chaos
 from repro.persist import PersistenceConfig, scan_journal
-from repro.replicate import ReplicationSource, StandbyReplica, run_repl_chaos
+from repro.replicate import ReplicationSource, StandbyReplica
 from repro.reporting import format_table
 from repro.serve import ServeConfig, SessionManager, session_factory_for_script
 from repro.students import cohort_scripts
@@ -128,9 +130,9 @@ def repl_runs():
     obs.enable()  # lag gauge / apply histogram feed the SLO rules
     steady = _steady_state()
     game = fetch_quest_game(n_quests=2, title="failover bench").build()
-    chaos = run_repl_chaos(
-        seed=SEED, sessions=max(4, SESSIONS // 2), n_shards=SHARDS,
-        game=game, scripts=cohort_scripts(game, 4, seed=SEED + 1),
+    chaos = run_chaos(
+        "repl-kill-primary", seed=SEED, sessions=max(4, SESSIONS // 2),
+        n_shards=SHARDS, game=game, scripts=cohort_scripts(game, 4, seed=SEED + 1),
     )
     return steady, chaos
 
@@ -201,7 +203,7 @@ def test_replicate_emits_machine_readable_result(repl_runs, results_dir):
             "lag_ticks_bound": LAG_TICKS_BOUND,
             "per_shard": steady["shards"],
         },
-        "failover": chaos.to_dict(),
+        "failover": asdict(chaos),
     }
     path = save_json("BENCH_replicate.json", payload)
     assert path.is_file()

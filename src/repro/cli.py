@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import asdict
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -297,7 +298,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_chaos.add_argument(
         "--wait", type=int, default=None,
-        help="ENDs to await before the kill (default: half the sessions)",
+        help="sessions to complete before the kill (default: half of "
+             "--sessions)",
     )
     p_chaos.add_argument(
         "--shards", type=int, default=2,
@@ -305,7 +307,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_chaos.add_argument(
         "--persist-dir", type=Path, default=None,
-        help="WAL directory (default: a temp dir, removed after the audit)",
+        help="WAL directory of the node (or primary) under test "
+             "(default: a temp dir, removed after the audit)",
     )
     p_chaos.add_argument(
         "--report", type=Path, default=None,
@@ -1331,22 +1334,25 @@ def _cmd_top(
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
     import json
+    import textwrap
 
     from . import obs
-    from .faultline.chaos import run_chaos
+    from .faultline.audit import run_chaos
     from .faultline.plan import builtin_plans
     from .reporting import format_table
 
     plans = builtin_plans()
     if args.list:
-        rows = []
-        for name, plan in sorted(plans.items()):
-            rows.append({
+        rows = [
+            {
                 "plan": name,
+                "topology": plan.topology,
                 "faults": len(plan.specs),
                 "sites": " ".join(sorted({s.site for s in plan.specs})),
                 "description": plan.description,
-            })
+            }
+            for name, plan in sorted(plans.items())
+        ]
         print(format_table(rows, title="Built-in fault plans"))
         return 0
     if args.plan not in plans:
@@ -1359,14 +1365,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         print("error: --wait must be >= 1", file=sys.stderr)
         return 2
     obs.enable()
-    if args.plan == "repl-quorum-partition":
-        # the quorum plan soaks a whole placement-mapped cluster
-        # (several standbys, quorum commit, routed failover)
-        return _chaos_cluster(args)
-    if any(spec.site.startswith("repl.") for spec in plans[args.plan].specs):
-        # plans that fault the shipping link need the whole
-        # primary/standby/promote cycle, not the single-node soak
-        return _chaos_repl(args)
     report = run_chaos(
         args.plan,
         seed=args.seed,
@@ -1375,139 +1373,28 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         n_shards=args.shards,
         persist_dir=args.persist_dir,
     )
+    doc = asdict(report)
     print(format_table(
-        report.faults,
+        doc.pop("faults"),
         title=f"Fault schedule (plan={report.plan} seed={report.seed})",
     ))
-    print(
-        f"soak: offered={report.sessions} submitted={report.submitted} "
-        f"completed={report.completed_ends} failed={report.failed_ends} "
-        f"in {report.duration_s:.2f}s"
-    )
-    print(
-        f"recovery: live={report.recovered_live} "
-        f"ended={report.recovered_ended} torn={report.torn_records} "
-        f"orphans={report.orphan_records}"
-    )
-    print(
-        f"audit: digests_checked={report.digests_checked} "
-        f"mismatches={len(report.digest_mismatches)} "
-        f"bit_identical={report.bit_identical} "
-        f"faults_fired={report.injected_total} "
-        f"all_fired={report.all_faults_fired} "
-        f"durability_timeouts={report.durability_timeouts}"
-    )
-    if args.report is not None:
-        args.report.parent.mkdir(parents=True, exist_ok=True)
-        args.report.write_text(json.dumps(report.to_dict(), indent=2))
-        print(f"report: {args.report}")
-    if not report.ok:
-        print("chaos: FAILED (see mismatches/faults above)", file=sys.stderr)
-        return 1
-    print("chaos: OK")
-    return 0
-
-
-def _chaos_repl(args: argparse.Namespace) -> int:
-    import json
-
-    from .replicate import run_repl_chaos
-    from .reporting import format_table
-
-    kill_after = (
-        args.wait / args.sessions if args.wait is not None else 0.5
-    )
-    report = run_repl_chaos(
-        args.plan,
-        seed=args.seed,
-        sessions=args.sessions,
-        n_shards=args.shards,
-        primary_dir=args.persist_dir,
-        kill_after_fraction=kill_after,
-    )
-    print(format_table(
-        report.faults,
-        title=f"Fault schedule (plan={report.plan} seed={report.seed})",
+    checks = doc.pop("checks")
+    doc["digest_mismatches"] = len(report.digest_mismatches)
+    print(textwrap.fill(
+        " ".join(
+            f"{k}={json.dumps(v, separators=(',', ':'))}"
+            if isinstance(v, dict) else f"{k}={v}"
+            for k, v in doc.items() if v is not None
+        ),
+        width=100, subsequent_indent="  ",
     ))
-    print(
-        f"soak: offered={report.sessions} submitted={report.submitted} "
-        f"completed_before_kill={report.completed_before_kill} "
-        f"in {report.duration_s:.2f}s"
-    )
-    print(
-        f"failover: caught_up={report.caught_up} "
-        f"detected={report.promote_detected} "
-        f"epochs={report.promoted_epochs} "
-        f"truncated_bytes={report.truncated_bytes}"
-    )
-    print(
-        f"audit: primary_records={report.primary_records} "
-        f"replica_records={report.replica_records} "
-        f"lost={report.lost_records} "
-        f"digests_checked={report.digests_checked} "
-        f"mismatches={len(report.digest_mismatches)} "
-        f"resumed={report.resumed_completed}/{report.resumed_live} "
-        f"all_fired={report.all_faults_fired}"
-    )
     if args.report is not None:
         args.report.parent.mkdir(parents=True, exist_ok=True)
-        args.report.write_text(json.dumps(report.to_dict(), indent=2))
+        args.report.write_text(json.dumps(asdict(report), indent=2))
         print(f"report: {args.report}")
-    if not report.ok:
-        print("chaos: FAILED (see audit above)", file=sys.stderr)
-        return 1
-    print("chaos: OK")
-    return 0
-
-
-def _chaos_cluster(args: argparse.Namespace) -> int:
-    import json
-
-    from .cluster import run_cluster_chaos
-    from .reporting import format_table
-
-    kill_after = (
-        args.wait / args.sessions if args.wait is not None else 0.25
-    )
-    report = run_cluster_chaos(
-        args.plan,
-        seed=args.seed,
-        sessions=args.sessions,
-        n_shards=args.shards,
-        kill_standby_after_fraction=kill_after,
-    )
-    print(format_table(
-        report.faults,
-        title=f"Fault schedule (plan={report.plan} seed={report.seed})",
-    ))
-    print(
-        f"soak: offered={report.sessions} submitted={report.submitted} "
-        f"quorum={report.quorum}/{report.standbys} "
-        f"standby_killed={report.standby_killed} "
-        f"promoted={report.promoted} in {report.duration_s:.2f}s"
-    )
-    print(
-        f"failover: caught_up={report.caught_up} "
-        f"epochs={report.promoted_epochs} "
-        f"placement_version={report.placement_version} "
-        f"routed_queries={report.queries_ok}/{report.queries_total} "
-        f"post_failover_submit_ok={report.post_failover_submit_ok}"
-    )
-    print(
-        f"audit: primary_records={report.primary_records} "
-        f"survivor_records={report.survivor_records} "
-        f"lost={report.lost_records} "
-        f"digests_checked={report.digests_checked} "
-        f"mismatches={len(report.digest_mismatches)} "
-        f"quorum_timeouts={report.quorum_timeouts} "
-        f"all_fired={report.all_faults_fired}"
-    )
-    if args.report is not None:
-        args.report.parent.mkdir(parents=True, exist_ok=True)
-        args.report.write_text(json.dumps(report.to_dict(), indent=2))
-        print(f"report: {args.report}")
-    if not report.ok:
-        print("chaos: FAILED (see audit above)", file=sys.stderr)
+    failed = [gate for gate, passed in checks.items() if not passed]
+    if failed:
+        print(f"chaos: FAILED ({', '.join(failed)})", file=sys.stderr)
         return 1
     print("chaos: OK")
     return 0
@@ -1708,7 +1595,7 @@ def _cmd_repl(args: argparse.Namespace) -> int:
         game = load_project(args.project).compile()
     report = promote_directory(directory, game=game)
     if args.json:
-        print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
+        print(json.dumps(asdict(report), indent=2, sort_keys=True))
     else:
         print(format_table(report.shards,
                            title=f"Promoted: {directory}"))

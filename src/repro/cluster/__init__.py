@@ -11,13 +11,13 @@ This package turns the single-standby replication of
   lag-bounded reads to the least-lagged standby owning the shard and
   failing writes over the moment the map's epoch advances;
 * :mod:`~repro.cluster.supervisor` — :class:`ClusterSupervisor`, the
-  one-process node-set harness (tests, benches, ``repro cluster``);
-* :mod:`~repro.cluster.chaos` — :func:`run_cluster_chaos`, the
-  kill-a-quorum-member audit behind ``repro chaos
-  repl-quorum-partition``.
+  one-process node-set harness (tests, benches, ``repro cluster``).
+
+The kill-a-quorum-member audit behind ``repro chaos --plan
+repl-quorum-partition`` is the ``cluster`` topology of
+:func:`repro.faultline.audit.run_chaos`.
 """
 
-from .chaos import ClusterChaosReport, run_cluster_chaos
 from .gateway import ClusterGateway
 from .placement import (
     NodeInfo,
@@ -28,13 +28,11 @@ from .placement import (
 from .supervisor import ClusterSupervisor, traced_factory
 
 __all__ = [
-    "ClusterChaosReport",
     "ClusterGateway",
     "ClusterSupervisor",
     "NodeInfo",
     "PlacementMap",
     "ShardAssignment",
     "plan_placement",
-    "run_cluster_chaos",
     "traced_factory",
 ]

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import threading
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -58,10 +58,6 @@ class NodeInfo:
         """``host:port`` when known, the node id otherwise."""
         return f"{self.host}:{self.port}" if self.host else self.node_id
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {"node_id": self.node_id, "kind": self.kind,
-                "host": self.host, "port": self.port}
-
     @classmethod
     def from_dict(cls, doc: Dict[str, Any]) -> "NodeInfo":
         return cls(
@@ -80,10 +76,6 @@ class ShardAssignment:
     primary: str
     standbys: Tuple[str, ...] = ()
     epoch: int = 1
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {"shard": self.shard, "primary": self.primary,
-                "standbys": list(self.standbys), "epoch": self.epoch}
 
     @classmethod
     def from_dict(cls, doc: Dict[str, Any]) -> "ShardAssignment":
@@ -247,10 +239,9 @@ class PlacementMap:
             return {
                 "n_shards": self.n_shards,
                 "version": self._version,
-                "nodes": [n.to_dict() for n in self._nodes.values()],
+                "nodes": [asdict(n) for n in self._nodes.values()],
                 "assignments": [
-                    self._entries[s].to_dict()
-                    for s in sorted(self._entries)
+                    asdict(self._entries[s]) for s in sorted(self._entries)
                 ],
             }
 

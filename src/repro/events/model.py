@@ -23,7 +23,6 @@ with disjoint guards.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Set
 
@@ -41,8 +40,6 @@ _M_MATCH_CACHE_MISSES = _obs.counter(
     "repro_engine_condition_cache_misses_total",
     "Interaction dispatches that had to scan and sort the binding table",
 )
-
-_binding_counter = itertools.count(1)
 
 GLOBAL_SCOPE = "*"
 
@@ -86,8 +83,6 @@ class EventBinding:
     _compiled: Any = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not self.binding_id:
-            self.binding_id = f"ev-{next(_binding_counter)}"
         if self.trigger not in Trigger.ALL:
             raise EventError(f"unknown trigger {self.trigger!r}")
         if self.trigger in Trigger.OBJECT_SCOPED and not self.object_id:
@@ -166,6 +161,7 @@ class EventTable:
     def __init__(self, bindings: Optional[Iterable[EventBinding]] = None) -> None:
         self._bindings: List[EventBinding] = []
         self._ids: Set[str] = set()
+        self._auto_ids = 0
         #: structural-match memo: (scenario, trigger, object, item) →
         #: pre-sorted candidate bindings.  Guards and once-exclusion are
         #: per-session state and stay outside the cache.
@@ -178,7 +174,16 @@ class EventTable:
         self._match_cache.clear()
 
     def add(self, binding: EventBinding) -> str:
-        """Add a binding; returns its id."""
+        """Add a binding; returns its id.
+
+        A binding without an id gets the table's next ``ev-N``, so two
+        builds of the same game assign the same ids.
+        """
+        while not binding.binding_id:
+            self._auto_ids += 1
+            candidate = f"ev-{self._auto_ids}"
+            if candidate not in self._ids:
+                binding.binding_id = candidate
         if binding.binding_id in self._ids:
             raise EventError(f"duplicate binding id {binding.binding_id!r}")
         self._bindings.append(binding)

@@ -24,8 +24,9 @@ Sites and the fault kinds they accept:
 ``wal.fsync``           ``stall`` (the device blocks for ``seconds``) /
                         ``error`` (fsync raises ``OSError``)
 ``serve.tick``          ``stall`` a shard thread mid-tick
-``serve.admit``         ``skip`` one tick's admissions (queue-pressure
-                        spike: arrivals keep queueing, nothing starts)
+``serve.admit``         ``skip`` the rest of one tick's admissions
+                        (queue-pressure spike: arrivals keep queueing,
+                        nothing more starts this tick)
 ``repl.link``           ``drop`` (sever one standby's shipping
                         connection) / ``delay`` a shipped batch /
                         ``partition`` (sever every shipping connection
@@ -34,6 +35,20 @@ Sites and the fault kinds they accept:
 
 Hit counting is global per site (not per shard/connection) and lives in
 the installed injector, so a compiled plan is immutable and reusable.
+Each site counts on a clock the workload fixes, never on one the
+scheduler decides: ``wal.write`` counts written records, ``wal.fsync``
+counts the records an fsync makes durable (the fsync that makes the
+Nth appended record durable is hit N, however group commit batched
+it), ``serve.tick`` counts stepped ops and ``serve.admit`` counts
+sessions about to start.  Idle ticks, empty admission rounds and
+record-less header fsyncs are no hits, so a seeded trigger drawn from
+a window the workload reaches cannot miss.
+
+Every plan also names the *topology* its audit soaks (see
+:mod:`repro.faultline.audit`): ``single`` (one persisted node behind
+the TCP gateway), ``standby`` (a primary shipping its WAL to one
+standby, then promoted) or ``cluster`` (a placement-mapped primary
+with several standbys and quorum commit).
 """
 
 from __future__ import annotations
@@ -48,6 +63,7 @@ __all__ = [
     "FaultPlan",
     "FaultSpec",
     "SITES",
+    "TOPOLOGIES",
     "builtin_plans",
 ]
 
@@ -62,6 +78,9 @@ SITES: Dict[str, Tuple[str, ...]] = {
     "serve.admit": ("skip",),
     "repl.link": ("drop", "delay", "partition"),
 }
+
+#: what a plan's audit soaks: one node, primary + standby, or cluster
+TOPOLOGIES: Tuple[str, ...] = ("single", "standby", "cluster")
 
 
 @dataclass(frozen=True, slots=True)
@@ -136,6 +155,13 @@ class FaultPlan:
     specs: Tuple[FaultSpec, ...] = ()
     seed: int = 2007
     description: str = ""
+    topology: str = "single"
+
+    def __post_init__(self) -> None:
+        if self.topology not in TOPOLOGIES:
+            raise ValueError(
+                f"unknown topology {self.topology!r} (know: {TOPOLOGIES})"
+            )
 
     def compile(self, seed: Optional[int] = None) -> "CompiledPlan":
         """Resolve every seeded trigger to a concrete hit number.
@@ -220,6 +246,7 @@ def builtin_plans() -> Dict[str, FaultPlan]:
         ),
         FaultPlan(
             name="repl-kill-primary",
+            topology="standby",
             description="the shipping link jitters (one delayed batch, "
                         "one severed connection forcing a reconnect), "
                         "then the primary is killed and the standby "
@@ -232,6 +259,7 @@ def builtin_plans() -> Dict[str, FaultPlan]:
         ),
         FaultPlan(
             name="repl-quorum-partition",
+            topology="cluster",
             description="quorum commit under a jittery shipping link: "
                         "one delayed batch, then one standby's shipping "
                         "connection severed mid-burst — the cluster "

@@ -251,17 +251,25 @@ def _default_open(path: Path) -> Any:
     return open(path, "ab")
 
 
-def _fsync_file(fh: Any, label: str = "0") -> None:
-    """fsync a file object; honours an injected ``fsync`` hook."""
+def _fsync_file(fh: Any, label: str = "0", records: int = 0) -> None:
+    """fsync a file object; honours an injected ``wal.fsync`` fault.
+
+    ``records`` is how many appended records this fsync makes durable,
+    and the fault clock advances by exactly that much: a trigger at hit
+    N fires on the fsync that makes the Nth appended record durable,
+    however group commit happened to batch it.  Segment-header and
+    rotation fsyncs carry no records and are never hits.
+    """
     fh.flush()
     if _fl.ACTIVE:
-        action = _fl.fire("wal.fsync", shard=label)
-        if action is not None:
-            if action.seconds > 0:
-                # a stalling device: the data lands, late
-                sleep(action.seconds)
-            if action.kind == "error":
-                raise OSError("faultline: injected fsync failure")
+        for _ in range(records):
+            action = _fl.fire("wal.fsync", shard=label)
+            if action is not None:
+                if action.seconds > 0:
+                    # a stalling device: the data lands, late
+                    sleep(action.seconds)
+                if action.kind == "error":
+                    raise OSError("faultline: injected fsync failure")
     fsync = getattr(fh, "fsync", None)
     if fsync is not None:
         fsync()
@@ -398,7 +406,7 @@ class Journal:
                 t0 = perf_counter()
                 try:
                     self._write_batch([(lsn, frame)])
-                    _fsync_file(self._fh, self.label)
+                    _fsync_file(self._fh, self.label, records=1)
                 except Exception as exc:
                     self._mark_failed(exc)
                     raise PersistError(f"journal failed: {exc!r}") from exc
@@ -516,7 +524,7 @@ class Journal:
                 # write the tail ourselves rather than lose it.
                 try:
                     self._write_batch([(lsn, fr) for lsn, fr, _ in leftovers])
-                    _fsync_file(self._fh, self.label)
+                    _fsync_file(self._fh, self.label, records=len(leftovers))
                     with self._cond:
                         self._durable = leftovers[-1][0]
                 except Exception as exc:  # pragma: no cover - disk death
@@ -607,7 +615,7 @@ class Journal:
                 with _span("wal.group_commit", shard=self.label,
                            batch=len(batch)):
                     self._write_batch([(lsn, fr) for lsn, fr, _ in batch])
-                    _fsync_file(self._fh, self.label)
+                    _fsync_file(self._fh, self.label, records=len(batch))
             except Exception as exc:
                 with self._cond:
                     self._mark_failed(exc)

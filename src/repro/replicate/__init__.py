@@ -24,11 +24,10 @@ logs (:mod:`repro.persist`) into a primary/standby pair:
   path — a promoted standby is just a persistence root.
 
 The whole story is soaked under fault injection by
-:func:`~repro.replicate.chaos.run_repl_chaos` (the ``repl-kill-primary``
+:func:`~repro.faultline.audit.run_chaos` (the ``repl-kill-primary``
 plan) and gated in CI by ``benchmarks/bench_replicate.py``.
 """
 
-from .chaos import ReplChaosReport, run_repl_chaos
 from .promote import (
     Promoter,
     PromotionReport,
@@ -59,13 +58,11 @@ __all__ = [
     "R_HANDSHAKE",
     "R_HEARTBEAT",
     "REPL_VERSION",
-    "ReplChaosReport",
     "ReplicaLagging",
     "ReplicationError",
     "ReplicationSource",
     "StandbyReplica",
     "promote_directory",
     "read_epoch",
-    "run_repl_chaos",
     "write_epoch",
 ]

@@ -88,14 +88,6 @@ class PromotionReport:
     def epochs(self) -> Dict[int, int]:
         return {row["shard"]: row["epoch"] for row in self.shards}
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "root": self.root,
-            "shards": list(self.shards),
-            "digests": dict(self.digests),
-            "duration_s": round(self.duration_s, 4),
-        }
-
 
 class Promoter:
     """Decides on, and executes, the standby's takeover."""

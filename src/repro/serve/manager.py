@@ -140,10 +140,6 @@ class ServeConfig:
     #: new sessions started per shard per tick (engine construction is
     #: paid here; bounding it keeps tick latency flat under a burst)
     max_admissions_per_tick: int = 32
-    #: retained for compatibility: drain() used to poll at this
-    #: interval; it now waits on a condition variable and wakes the
-    #: moment the last in-flight session closes
-    drain_poll_s: float = 0.005
     #: how long a traced session's END may ride out its end record's
     #: group commit before the END is reported non-durable (counted in
     #: repro_persist_durability_timeout_total)
@@ -164,8 +160,6 @@ class ServeConfig:
             raise ValueError("max_steps_per_tick must be >= 1")
         if self.max_admissions_per_tick < 1:
             raise ValueError("max_admissions_per_tick must be >= 1")
-        if self.drain_poll_s <= 0:
-            raise ValueError("drain_poll_s must be positive")
         if self.durable_wait_s <= 0:
             raise ValueError("durable_wait_s must be positive")
 
@@ -345,17 +339,21 @@ class _Shard:
 
     # -- shard thread --------------------------------------------------
     def _admit(self) -> None:
-        if _fl.ACTIVE:
-            action = _fl.fire("serve.admit", shard=self.label)
-            if action is not None and action.kind == "skip":
-                # queue-pressure spike: arrivals keep queueing, nothing
-                # starts this tick
-                return
         for _ in range(self.config.max_admissions_per_tick):
             with self._inbox_lock:
                 if not self._inbox:
                     return
                 player_id, factory = self._inbox.popleft()
+            if _fl.ACTIVE:
+                # one hit per queued session about to start (idle ticks
+                # are no hits), so the clock is the workload's own
+                action = _fl.fire("serve.admit", shard=self.label)
+                if action is not None and action.kind == "skip":
+                    # queue-pressure spike: arrivals keep queueing,
+                    # nothing more starts this tick
+                    with self._inbox_lock:
+                        self._inbox.appendleft((player_id, factory))
+                    return
             try:
                 session = factory(player_id)
                 session.start()
@@ -386,6 +384,12 @@ class _Shard:
         journal = self._journal
         while self._active and budget > 0:
             session = self._active.popleft()
+            if _fl.ACTIVE:
+                # one hit per stepped op (not per tick): a stalled shard
+                # thread, mid-tick, inside the tick's busy time
+                action = _fl.fire("serve.tick", shard=self.label)
+                if action is not None and action.seconds > 0:
+                    sleep(action.seconds)
             op = session.peek() if journal is not None else None
             try:
                 done = session.step()
@@ -485,13 +489,6 @@ class _Shard:
                     self._discard_backlog()
                     break
                 t0 = perf_counter()
-                if _fl.ACTIVE:
-                    action = _fl.fire("serve.tick", shard=self.label)
-                    if action is not None and action.seconds > 0:
-                        # a stalled shard thread: the stall lands inside
-                        # the tick's busy time, so it shows up in the
-                        # repro_serve_tick_seconds histogram
-                        sleep(action.seconds)
                 self._admit()
                 self._step_batch()
                 busy = perf_counter() - t0

@@ -6,7 +6,9 @@ epoch-triggered write failover (against in-memory fakes), plus one
 small end-to-end quorum cluster and one seeded chaos audit.
 """
 
+import json
 import socket
+from dataclasses import asdict
 
 import pytest
 
@@ -17,10 +19,9 @@ from repro.cluster import (
     NodeInfo,
     PlacementMap,
     plan_placement,
-    run_cluster_chaos,
     traced_factory,
 )
-from repro.faultline.chaos import reference_digest
+from repro.faultline.audit import reference_digest, run_chaos
 from repro.replicate import ReplicaLagging
 from repro.replicate.protocol import R_ERROR, R_HANDSHAKE, encode, make_decoder
 from repro.serve import session_factory_for_script
@@ -109,6 +110,30 @@ class TestPlacementMap:
         loaded = PlacementMap.load(tmp_path)
         assert loaded.to_dict() == pmap.to_dict()
         assert loaded.epoch_of(1) == 5
+
+    def test_saved_map_json_is_pinned(self, tmp_path):
+        """PLACEMENT.json is an on-disk format: its bytes must not drift."""
+        pmap = plan_placement(
+            2, NodeInfo("p0", "primary", "127.0.0.1", 4000),
+            [NodeInfo("s0"), NodeInfo("s1", "standby", "10.0.0.2", 4101)],
+            replicas_per_shard=1,
+        )
+        pmap.advance(1, "s1", epoch=3)
+        assert pmap.save(tmp_path).read_text() == (
+            '{\n  "assignments": [\n    {\n      "epoch": 1,\n'
+            '      "primary": "p0",\n      "shard": 0,\n'
+            '      "standbys": [\n        "s0"\n      ]\n    },\n'
+            '    {\n      "epoch": 3,\n      "primary": "s1",\n'
+            '      "shard": 1,\n      "standbys": []\n    }\n  ],\n'
+            '  "n_shards": 2,\n  "nodes": [\n    {\n'
+            '      "host": "127.0.0.1",\n      "kind": "primary",\n'
+            '      "node_id": "p0",\n      "port": 4000\n    },\n'
+            '    {\n      "host": "",\n      "kind": "standby",\n'
+            '      "node_id": "s0",\n      "port": 0\n    },\n'
+            '    {\n      "host": "10.0.0.2",\n      "kind": "primary",\n'
+            '      "node_id": "s1",\n      "port": 4101\n    }\n  ],\n'
+            '  "version": 4\n}'
+        )
 
     def test_primary_address(self):
         primary, standbys = self._nodes(1)
@@ -310,27 +335,34 @@ class TestQuorumCluster:
 
 class TestClusterChaos:
     def test_seeded_chaos_audit_passes(self, classroom_game):
-        report = run_cluster_chaos(
-            seed=4321, sessions=6, n_shards=N_SHARDS,
-            n_standbys=3, quorum=2, game=classroom_game,
+        report = run_chaos(
+            "repl-quorum-partition", seed=4321, sessions=6,
+            n_shards=N_SHARDS, n_standbys=3, quorum=2, game=classroom_game,
         )
+        assert report.topology == "cluster"
         assert report.lost_records == 0
+        # checked against every survivor, not just a quorum of them
+        assert set(report.survivor_records) == {
+            "standby-1", "standby-2",
+        }
         assert report.bit_identical
-        assert report.caught_up
+        assert report.caught_up and report.promote_detected
         assert report.queries_ok == report.queries_total > 0
         assert report.post_failover_submit_ok
         assert report.quorum_timeouts == 0
+        assert report.durability_timeouts == 0
+        assert report.resumed_completed == report.resumed_live
+        assert report.all_faults_fired
+        assert all(report.checks.values()) and len(report.checks) == 10
         assert report.ok
-        doc = report.to_dict()
+        doc = asdict(report)
         assert doc["standby_killed"] == "standby-3"
         assert doc["promoted"] in ("standby-1", "standby-2")
-        import json
-
         json.dumps(doc)  # the CLI writes this verbatim
 
     def test_quorum_must_leave_a_survivor(self, classroom_game):
         with pytest.raises(ValueError):
-            run_cluster_chaos(
-                sessions=2, n_shards=1, n_standbys=2, quorum=2,
-                game=classroom_game,
+            run_chaos(
+                "repl-quorum-partition", sessions=2, n_shards=1,
+                n_standbys=2, quorum=2, game=classroom_game,
             )

@@ -204,6 +204,45 @@ class TestEventTable:
         t2 = EventTable.from_list(t.to_list())
         assert [b.binding_id for b in t2] == [b.binding_id for b in t]
 
+    def test_default_ids_are_per_table(self):
+        def unnamed():
+            return EventBinding(scenario_id="s1", trigger=Trigger.CLICK,
+                                object_id="o", actions=[ShowText(text="x")])
+
+        a, b = EventTable([unnamed(), unnamed()]), EventTable([unnamed()])
+        assert [x.binding_id for x in a] == ["ev-1", "ev-2"]
+        assert [x.binding_id for x in b] == ["ev-1"]
+        # an explicit id that collides with the next default is skipped
+        c = EventTable()
+        c.add(EventBinding(binding_id="ev-1", scenario_id="s1",
+                           trigger=Trigger.CLICK, object_id="o",
+                           actions=[ShowText(text="x")]))
+        assert c.add(unnamed()) == "ev-2"
+
+    def test_rebuilt_game_replays_to_the_same_digest(self):
+        """Two builds of one game in one process are the same game:
+        same binding ids, so the same ``fired_once`` and state digest."""
+        from repro.core import fetch_quest_game
+        from repro.persist import state_digest
+        from repro.persist.records import apply_scripted_op
+        from repro.students import cohort_scripts
+        from repro.video.player import SimulatedClock
+
+        games = [fetch_quest_game(n_quests=2).build() for _ in range(2)]
+        script = cohort_scripts(games[0], 1, seed=5)[0]
+        digests = []
+        for game in games:
+            engine = game.new_engine(clock=SimulatedClock(0.0),
+                                     with_video=False)
+            engine.start()
+            for op in script.ops:
+                apply_scripted_op(engine, op, script.dt)
+            assert engine.state.fired_once
+            digests.append(state_digest(engine.state))
+        assert digests[0] == digests[1]
+        ids = [[b.binding_id for b in game.events] for game in games]
+        assert ids[0] == ids[1]
+
 
 class TestEventBus:
     def test_topic_and_wildcard_delivery(self):

@@ -187,3 +187,60 @@ class TestLifecycle:
 
     def test_fire_without_injector_is_noop(self):
         assert faultline.fire("wal.fsync") is None
+
+
+class TestWorkloadClocks:
+    """Hits count units the workload fixes, never scheduler artefacts."""
+
+    def test_fsync_fault_counts_records_not_batches(self, tmp_path):
+        """Six appends inside one group-commit window are one fsync but
+        six hits, so a trigger at hit 5 cannot be batched away."""
+        from repro.persist import Journal, PersistenceConfig
+
+        injector = faultline.install(FaultPlan(
+            name="t", specs=(FaultSpec("wal.fsync", "stall", at=5),),
+        ))
+        journal = Journal(tmp_path, PersistenceConfig(
+            directory=tmp_path, group_window_s=0.5,
+        ))
+        try:
+            for k in range(6):
+                journal.append({"t": "x", "k": k})
+            assert journal.sync(timeout=10.0)
+        finally:
+            journal.close()
+        assert injector.all_fired(), injector.report()
+        assert injector.hits["wal.fsync"] == 6
+
+    def test_serve_sites_count_sessions_and_ops_not_ticks(
+        self, classroom_game
+    ):
+        from repro.serve import (
+            ServeConfig,
+            SessionManager,
+            session_factory_for_script,
+        )
+        from repro.students import cohort_scripts
+
+        injector = faultline.install(FaultPlan(name="t", specs=(
+            FaultSpec("serve.admit", "skip", at=2),
+            FaultSpec("serve.tick", "stall", at=3),
+        )))
+        script = cohort_scripts(classroom_game, 1, seed=3)[0]
+        manager = SessionManager(ServeConfig(
+            n_shards=1, tick_interval_s=0.002,
+        )).start()
+        try:
+            threading.Event().wait(0.05)  # idle ticks: no hits
+            assert injector.hits == {}
+            factory = session_factory_for_script(classroom_game, script)
+            for k in range(3):
+                assert manager.submit(f"clock-{k}", factory)
+            assert manager.drain(timeout=30.0)
+            steps = manager.shard_stats()[0]["steps"]
+        finally:
+            manager.shutdown(drain=False)
+        # three sessions admitted, plus the one the skip sent back
+        assert injector.hits["serve.admit"] == 4
+        assert injector.hits["serve.tick"] == steps == 3 * len(script.ops)
+        assert injector.all_fired(), injector.report()

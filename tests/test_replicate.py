@@ -6,7 +6,7 @@ import time
 import pytest
 
 from repro import obs
-from repro.faultline.chaos import reference_digest
+from repro.faultline.audit import reference_digest
 from repro.gateway.protocol import HELLO, ProtocolError
 from repro.gateway.protocol import encode_frame as gateway_encode_frame
 from repro.persist import (

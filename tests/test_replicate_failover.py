@@ -2,10 +2,11 @@
 
 import socket
 import time
+from dataclasses import asdict
 
 import pytest
 
-from repro.faultline.chaos import reference_digest
+from repro.faultline.audit import reference_digest, run_chaos
 from repro.persist import (
     PersistenceConfig,
     scan_journal,
@@ -20,7 +21,6 @@ from repro.replicate import (
     StandbyReplica,
     promote_directory,
     read_epoch,
-    run_repl_chaos,
 )
 from repro.replicate.protocol import encode, make_decoder
 from repro.serve import ServeConfig, SessionManager, session_factory_for_script
@@ -274,20 +274,23 @@ class TestPromotion:
 class TestReplChaos:
     def test_kill_primary_chaos_cycle(self, classroom_game):
         scripts = cohort_scripts(classroom_game, 4, seed=97)
-        report = run_repl_chaos(
-            seed=1301, sessions=8, n_shards=N_SHARDS,
+        report = run_chaos(
+            "repl-kill-primary", seed=1301, sessions=8, n_shards=N_SHARDS,
             game=classroom_game, scripts=scripts,
         )
+        assert report.topology == "standby"
         assert report.lost_records == 0
+        assert report.survivor_records == {"standby": report.primary_records}
         assert report.caught_up and report.promote_detected
         assert report.bit_identical
         assert report.all_faults_fired
         assert report.promoted_epochs == {0: 2, 1: 2}
         assert report.resumed_completed == report.resumed_live
+        assert all(report.checks.values()) and len(report.checks) == 7
         assert report.ok
         # JSON-able for the CI artifact
-        assert report.to_dict()["ok"] is True
+        assert asdict(report)["ok"] is True
 
     def test_rejects_unknown_plan(self):
         with pytest.raises(ValueError, match="unknown plan"):
-            run_repl_chaos("no-such-plan", sessions=1)
+            run_chaos("no-such-plan", sessions=1)

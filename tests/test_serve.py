@@ -263,11 +263,10 @@ class TestEventDrivenDrain:
     def test_drain_returns_without_waiting_a_poll_interval(
         self, classroom_game, scripts
     ):
-        # With the old implementation this config forced drain() to
-        # sleep drain_poll_s between checks; event-driven drain must
-        # return as soon as the last session closes.
+        # A polling drain() would sleep between checks; event-driven
+        # drain must return as soon as the last session closes.
         cfg = ServeConfig(n_shards=2, tick_interval_s=0.002,
-                          max_steps_per_tick=50, drain_poll_s=30.0)
+                          max_steps_per_tick=50)
         factory = session_factory_for_script(classroom_game, scripts[0])
         manager = SessionManager(cfg).start()
         try:
@@ -279,7 +278,7 @@ class TestEventDrivenDrain:
         finally:
             manager.shutdown(drain=False)
         assert elapsed < 20.0, (
-            f"drain took {elapsed:.1f}s — still polling at drain_poll_s?"
+            f"drain took {elapsed:.1f}s — still polling?"
         )
         assert manager.in_flight == 0
 
@@ -287,7 +286,7 @@ class TestEventDrivenDrain:
         # One op per 0.2s tick: the sessions cannot finish in 0.2s, so
         # a short drain must report failure (and promptly).
         cfg = ServeConfig(n_shards=1, tick_interval_s=0.2,
-                          max_steps_per_tick=1, drain_poll_s=30.0)
+                          max_steps_per_tick=1)
         factory = session_factory_for_script(classroom_game, scripts[0])
         manager = SessionManager(cfg).start()
         try:
@@ -302,9 +301,7 @@ class TestEventDrivenDrain:
         assert 0.25 <= elapsed < 5.0
 
     def test_drain_with_nothing_in_flight_is_immediate(self):
-        manager = SessionManager(ServeConfig(
-            n_shards=1, drain_poll_s=30.0
-        )).start()
+        manager = SessionManager(ServeConfig(n_shards=1)).start()
         try:
             t0 = perf_counter()
             assert manager.drain(timeout=10.0)
